@@ -41,15 +41,26 @@ inline void obs_tile(std::int64_t t0, const Tile& t, int iter) {
 
 }  // namespace
 
+int checkerboard_wave(const Tile& t) {
+  // Even-parity colours (0,0), (1,1) first, then odd-parity (0,1), (1,0).
+  return 2 * ((t.ty + t.tx) & 1) + (t.ty & 1);
+}
+
 Runner::Runner(TileGrid tiles, RunOptions options)
     : tiles_(tiles), options_(options) {
   if (options_.checkerboard) {
-    // Two-wave execution keeps in-place kernels race-free only when no two
+    // Four-colour waves keep in-place kernels race-free only when no two
     // same-wave tiles can write into the same cell, which requires tiles at
-    // least 2 cells wide/tall (see DESIGN.md).
+    // least 2 cells wide/tall (see "Checkerboard waves" in DESIGN.md).
     PEACHY_REQUIRE(tiles_.tile_h() >= 2 && tiles_.tile_w() >= 2,
                    "checkerboard waves need tiles >= 2x2, got "
                        << tiles_.tile_h() << "x" << tiles_.tile_w());
+  }
+  waves_.resize(options_.checkerboard ? kCheckerboardWaves : 1);
+  for (int i = 0; i < tiles_.count(); ++i) {
+    const int wave = options_.checkerboard ? checkerboard_wave(tiles_.tile(i))
+                                           : 0;
+    waves_[static_cast<std::size_t>(wave)].push_back(i);
   }
   if (options_.trace != nullptr) {
     const int lanes_needed = lane_count();
@@ -72,72 +83,65 @@ int Runner::lane_count() const {
   return options_.threads > 0 ? options_.threads : omp_get_max_threads();
 }
 
-// Executes all tiles of one wave (or all tiles when parity < 0) and returns
-// whether any tile changed.
-int Runner::execute_eager(const TileKernel& kernel, int iter,
-                          std::size_t* tasks, int parity_phases) {
-  const int n = tiles_.count();
+// Runs the kernel once on each listed tile, one task per tile, and returns
+// whether any tile changed. With `record_changed`, changed tiles are also
+// appended to their lane's changed_ list (lazy activation).
+int Runner::run_tiles(const std::vector<int>& ids, const TileKernel& kernel,
+                      int iter, bool record_changed) {
+  if (ids.empty()) return 0;  // e.g. a lazy wave with no active tile
   TraceRecorder* trace = options_.trace;
-  const bool obs_on = obs::enabled();  // hoisted: one gate per iteration
+  const bool obs_on = obs::enabled();  // hoisted: one gate per wave
+  const auto run_one = [&](std::size_t k, int lane) {
+    const Tile t = tiles_.tile(ids[k]);
+    const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
+    const bool changed = kernel(t, iter);
+    if (trace) {
+      trace->record(
+          TaskRecord{iter, lane, t.y0, t.x0, t.h, t.w, t0, now_ns()});
+    }
+    if (obs_on) obs_tile(t0, t, iter);
+    if (changed && record_changed)
+      changed_[static_cast<std::size_t>(lane)].push_back(t.index);
+    return changed;
+  };
 
   if (options_.schedule == Schedule::kWorkStealing) {
     std::atomic<int> changed_any{0};
-    std::atomic<std::size_t> executed{0};
     TaskArena::ForOptions fo;
     fo.max_workers =
         options_.threads > 0 ? static_cast<std::size_t>(options_.threads) : 0;
     fo.grain = 1;  // one tile per task, the analogue of dynamic,1
-    for (int phase = 0; phase < parity_phases; ++phase) {
-      const bool filter = parity_phases == 2;
-      arena().parallel_for(
-          static_cast<std::size_t>(n),
-          [&](std::size_t lo, std::size_t hi) {
-            int local_changed = 0;
-            std::size_t local_executed = 0;
-            for (std::size_t i = lo; i < hi; ++i) {
-              const Tile t = tiles_.tile(static_cast<int>(i));
-              if (filter && ((t.ty + t.tx) & 1) != phase) continue;
-              const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
-              local_changed |= kernel(t, iter) ? 1 : 0;
-              if (trace) {
-                trace->record(TaskRecord{iter, TaskArena::current_lane(),
-                                         t.y0, t.x0, t.h, t.w, t0, now_ns()});
-              }
-              if (obs_on) obs_tile(t0, t, iter);
-              ++local_executed;
-            }
-            if (local_changed) changed_any.store(1, std::memory_order_relaxed);
-            executed.fetch_add(local_executed, std::memory_order_relaxed);
-          },
-          fo);
-    }
-    *tasks += executed.load(std::memory_order_relaxed);
+    arena().parallel_for(
+        ids.size(),
+        [&](std::size_t lo, std::size_t hi) {
+          int local_changed = 0;
+          for (std::size_t k = lo; k < hi; ++k)
+            local_changed |= run_one(k, TaskArena::current_lane()) ? 1 : 0;
+          if (local_changed) changed_any.store(1, std::memory_order_relaxed);
+        },
+        fo);
     return changed_any.load(std::memory_order_relaxed);
   }
 
   int changed_any = 0;
-  std::size_t executed = 0;
-  apply_schedule(options_.schedule);
-  for (int phase = 0; phase < parity_phases; ++phase) {
-    const bool filter = parity_phases == 2;
+  const int m = static_cast<int>(ids.size());
 #pragma omp parallel for schedule(runtime) reduction(| : changed_any) \
-    reduction(+ : executed) num_threads(options_.threads > 0 ? options_.threads \
-                                                             : omp_get_max_threads())
-    for (int i = 0; i < n; ++i) {
-      const Tile t = tiles_.tile(i);
-      if (filter && ((t.ty + t.tx) & 1) != phase) continue;
-      const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
-      const bool changed = kernel(t, iter);
-      if (trace) {
-        trace->record(TaskRecord{iter, omp_get_thread_num(), t.y0, t.x0, t.h,
-                                 t.w, t0, now_ns()});
-      }
-      if (obs_on) obs_tile(t0, t, iter);
-      changed_any |= changed ? 1 : 0;
-      ++executed;
-    }
+    num_threads(options_.threads > 0 ? options_.threads : omp_get_max_threads())
+  for (int k = 0; k < m; ++k) {
+    changed_any |=
+        run_one(static_cast<std::size_t>(k), omp_get_thread_num()) ? 1 : 0;
   }
-  *tasks += executed;
+  return changed_any;
+}
+
+// Executes every tile, one wave after another, and returns whether any
+// tile changed.
+int Runner::execute_eager(const TileKernel& kernel, int iter,
+                          std::size_t* tasks) {
+  int changed_any = 0;
+  for (const std::vector<int>& wave : waves_)
+    changed_any |= run_tiles(wave, kernel, iter, /*record_changed=*/false);
+  *tasks += static_cast<std::size_t>(tiles_.count());
   return changed_any;
 }
 
@@ -146,67 +150,13 @@ int Runner::execute_eager(const TileKernel& kernel, int iter,
 // All scratch (worklist, per-lane changed tiles, both bitmaps) is reused
 // across iterations — steady state performs no allocation.
 int Runner::execute_lazy(const TileKernel& kernel, int iter,
-                         std::size_t* tasks, int parity_phases) {
-  const int n = tiles_.count();
-  TraceRecorder* trace = options_.trace;
-  const bool obs_on = obs::enabled();  // hoisted: one gate per iteration
-  const bool ws = options_.schedule == Schedule::kWorkStealing;
-  if (!ws) apply_schedule(options_.schedule);
-  const int num_threads =
-      options_.threads > 0 ? options_.threads : omp_get_max_threads();
-
-  for (int phase = 0; phase < parity_phases; ++phase) {
+                         std::size_t* tasks) {
+  for (const std::vector<int>& wave : waves_) {
     work_.clear();
-    for (int i = 0; i < n; ++i) {
-      if (!active_[static_cast<std::size_t>(i)]) continue;
-      if (parity_phases == 2) {
-        const Tile t = tiles_.tile(i);
-        if (((t.ty + t.tx) & 1) != phase) continue;
-      }
-      work_.push_back(i);
-    }
-    const int m = static_cast<int>(work_.size());
-    if (ws) {
-      TaskArena::ForOptions fo;
-      fo.max_workers = options_.threads > 0
-                           ? static_cast<std::size_t>(options_.threads)
-                           : 0;
-      fo.grain = 1;
-      arena().parallel_for(
-          static_cast<std::size_t>(m),
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t k = lo; k < hi; ++k) {
-              const Tile t = tiles_.tile(work_[k]);
-              const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
-              const bool changed = kernel(t, iter);
-              if (trace) {
-                trace->record(TaskRecord{iter, TaskArena::current_lane(),
-                                         t.y0, t.x0, t.h, t.w, t0, now_ns()});
-              }
-              if (obs_on) obs_tile(t0, t, iter);
-              if (changed)
-                changed_[static_cast<std::size_t>(TaskArena::current_lane())]
-                    .push_back(t.index);
-            }
-          },
-          fo);
-    } else {
-#pragma omp parallel for schedule(runtime) num_threads(num_threads)
-      for (int k = 0; k < m; ++k) {
-        const Tile t = tiles_.tile(work_[static_cast<std::size_t>(k)]);
-        const std::int64_t t0 = (trace || obs_on) ? now_ns() : 0;
-        const bool changed = kernel(t, iter);
-        if (trace) {
-          trace->record(TaskRecord{iter, omp_get_thread_num(), t.y0, t.x0, t.h,
-                                   t.w, t0, now_ns()});
-        }
-        if (obs_on) obs_tile(t0, t, iter);
-        if (changed)
-          changed_[static_cast<std::size_t>(omp_get_thread_num())]
-              .push_back(t.index);
-      }
-    }
-    *tasks += static_cast<std::size_t>(m);
+    for (int i : wave)
+      if (active_[static_cast<std::size_t>(i)]) work_.push_back(i);
+    run_tiles(work_, kernel, iter, /*record_changed=*/true);
+    *tasks += work_.size();
   }
 
   // Build the next activation set serially (cheap: O(changed tiles)) into
@@ -237,7 +187,6 @@ RunResult Runner::run(const TileKernel& kernel) {
   RuntimeCounters before;
   if (ws) before = arena().counters();
 
-  const int parity_phases = options_.checkerboard ? 2 : 1;
   if (options_.lazy) {
     const std::size_t n = static_cast<std::size_t>(tiles_.count());
     active_.assign(n, 1);
@@ -251,10 +200,10 @@ RunResult Runner::run(const TileKernel& kernel) {
     if (options_.max_iterations > 0 && iter >= options_.max_iterations) break;
     obs::Span span("pap.iteration", "pap");
     const std::size_t tasks_before = result.tasks;
-    const int changed =
-        options_.lazy
-            ? execute_lazy(kernel, iter, &result.tasks, parity_phases)
-            : execute_eager(kernel, iter, &result.tasks, parity_phases);
+    if (!ws) apply_schedule(options_.schedule);
+    const int changed = options_.lazy
+                            ? execute_lazy(kernel, iter, &result.tasks)
+                            : execute_eager(kernel, iter, &result.tasks);
     span.arg("iter", iter);
     span.arg("changed", changed);
     span.arg("tasks", static_cast<std::int64_t>(result.tasks - tasks_before));

@@ -6,9 +6,9 @@
 // OpenMP loop schedules students compare, plus the work-stealing task
 // runtime (core/task_runtime.hpp) — with optional lazy tile activation
 // (only tiles whose neighbourhood changed last iteration are recomputed —
-// the paper's second assignment), optional checkerboard waves (race-free
-// in-place/async kernels — "multi-wave task scheduling", §II.C), and
-// optional per-task tracing (Fig. 3).
+// the paper's second assignment), optional four-colour checkerboard waves
+// (race-free in-place/async kernels — "multi-wave task scheduling", §II.C),
+// and optional per-task tracing (Fig. 3).
 //
 // The iteration loop is allocation-free in steady state: activation
 // bitmaps are double-buffered and per-lane changed-tile scratch is reused
@@ -54,7 +54,7 @@ struct RunOptions {
   int threads = 0;          ///< 0 = use OMP default / all arena lanes
   Schedule schedule = Schedule::kDynamic;
   bool lazy = false;        ///< lazy tile activation (assignment 2)
-  bool checkerboard = false;///< two-wave execution for async kernels
+  bool checkerboard = false;///< four-colour waves for in-place kernels
   int max_iterations = 0;   ///< 0 = run until stable
   TraceRecorder* trace = nullptr;  ///< optional task tracing
   IterationHook on_iteration;      ///< optional per-iteration callback
@@ -69,6 +69,17 @@ struct RunResult {
   std::int64_t elapsed_ns = 0;
   std::uint64_t steals = 0;  ///< runtime steals (kWorkStealing only)
 };
+
+/// Waves per iteration of a checkerboard run.
+inline constexpr int kCheckerboardWaves = 4;
+
+/// Wave (0 .. kCheckerboardWaves-1) in which a checkerboard run executes
+/// `t`. Tiles are coloured by (ty&1, tx&1) and the waves run (0,0), (1,1),
+/// (0,1), (1,0), so every even-parity tile ((ty+tx)&1 == 0) still runs
+/// before every odd-parity one. Two tiles of one wave are a whole tile
+/// apart in both directions, so their write footprints (the tile plus its
+/// 1-cell stencil) are disjoint for tiles of at least 2x2 cells.
+int checkerboard_wave(const Tile& t);
 
 /// Drives a TileKernel over a TileGrid to completion.
 class Runner {
@@ -87,13 +98,16 @@ class Runner {
   /// Worker lanes a run may use (trace lane requirement and scratch width).
   int lane_count() const;
 
-  int execute_eager(const TileKernel& kernel, int iter, std::size_t* tasks,
-                    int parity_phases);
-  int execute_lazy(const TileKernel& kernel, int iter, std::size_t* tasks,
-                   int parity_phases);
+  int run_tiles(const std::vector<int>& ids, const TileKernel& kernel,
+                int iter, bool record_changed);
+  int execute_eager(const TileKernel& kernel, int iter, std::size_t* tasks);
+  int execute_lazy(const TileKernel& kernel, int iter, std::size_t* tasks);
 
   TileGrid tiles_;
   RunOptions options_;
+  // Tile indices of each wave in execution order: every tile in one wave,
+  // or kCheckerboardWaves colour classes for checkerboard runs.
+  std::vector<std::vector<int>> waves_;
 
   // Per-run scratch, allocated once and reused every iteration.
   std::vector<std::uint8_t> active_;       // lazy activation bitmap
